@@ -165,7 +165,7 @@ var allocGatePackages = []struct {
 	pkg   string
 	bench string
 }{
-	{"./internal/sim/", "BenchmarkEventThroughput$|BenchmarkShardPostDrain$|BenchmarkQueuePushPop/(heap|ladder)/depth=(1k|100k)$"},
+	{"./internal/sim/", "BenchmarkEventThroughput$|BenchmarkProcWake$|BenchmarkShardPostDrain$|BenchmarkQueuePushPop/(heap|ladder)/depth=(1k|100k)$"},
 	{"./internal/mesh/", "BenchmarkSend$"},
 	{"./internal/pfs/", "BenchmarkClientSteadyRead$"},
 	{"./internal/ionode/", "BenchmarkServicePath$"},
@@ -176,6 +176,7 @@ var allocGatePackages = []struct {
 // (which append -N for GOMAXPROCS).
 var zeroAllocBenches = map[string]bool{
 	"BenchmarkEventThroughput":                true, // sim.Kernel event dispatch
+	"BenchmarkProcWake":                       true, // sim.Proc coroutine wake cycle
 	"BenchmarkShardPostDrain":                 true, // cross-shard post/drain round trip
 	"BenchmarkQueuePushPop/heap/depth=1k":     true, // heap queue hold model, shallow
 	"BenchmarkQueuePushPop/heap/depth=100k":   true, // heap queue hold model, deep

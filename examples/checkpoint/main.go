@@ -92,7 +92,7 @@ func run(behind bool) sim.Time {
 			}
 		})
 	}
-	if err := m.K.Run(); err != nil {
+	if err := m.Run(); err != nil {
 		log.Fatal(err)
 	}
 	return m.K.Now()

@@ -83,7 +83,7 @@ func run(withPrefetch bool) (sim.Time, float64) {
 			}
 		})
 	}
-	if err := m.K.Run(); err != nil {
+	if err := m.Run(); err != nil {
 		log.Fatal(err)
 	}
 	hr := 0.0

@@ -172,7 +172,7 @@ func writeRun(s Scale, fileSize, rec int64, delay sim.Time, behind bool) (sim.Ti
 			}()
 		})
 	}
-	if err := m.K.Run(); err != nil {
+	if err := m.Run(); err != nil {
 		return 0, 0, err
 	}
 	for _, err := range errs {
@@ -344,7 +344,7 @@ func interferenceRun(s Scale, withPrefetch, withAggressor bool) (float64, float6
 			})
 		}
 	}
-	if err := m.K.Run(); err != nil {
+	if err := m.Run(); err != nil {
 		return 0, 0, err
 	}
 	for _, err := range errs {

@@ -454,8 +454,14 @@ func (m *Machine) ClientTrace() *trace.Log {
 // Config.Shards workers when sharding is enabled, the single kernel
 // otherwise. Sharded trace buckets are merged into the SetTrace log
 // before returning (even on error, so partial timelines are visible).
+//
+// On every exit path — normal end, process panic, deadlock error —
+// Run releases the processes the simulation started (sim.Kernel.Release),
+// so a finished machine holds no goroutines. Its results, counters and
+// fingerprints stay readable; it cannot be run again.
 func (m *Machine) Run() error {
 	if m.ss != nil {
+		defer m.ss.Release()
 		err := m.ss.Run(m.cfg.Shards)
 		if m.shardTrace != nil && m.userTrace != nil {
 			m.shardTrace.MergeInto(m.userTrace)
@@ -463,6 +469,7 @@ func (m *Machine) Run() error {
 		}
 		return err
 	}
+	defer m.K.Release()
 	return m.K.Run()
 }
 

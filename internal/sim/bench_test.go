@@ -132,7 +132,7 @@ func BenchmarkHeapChurn(b *testing.B) {
 }
 
 // BenchmarkProcSwitch measures a full block/wake round trip through the
-// goroutine hand-off.
+// coroutine hand-off.
 func BenchmarkProcSwitch(b *testing.B) {
 	k := NewKernel()
 	k.Go("sleeper", func(p *Proc) {
@@ -143,6 +143,43 @@ func BenchmarkProcSwitch(b *testing.B) {
 	b.ResetTimer()
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkProcWake measures one Sleep(0) wake cycle — schedule the
+// wake, dispatch it, resume the coroutine, block again — with the
+// process already started, so the steady state is gated at 0 allocs/op
+// by detgate -allocs.
+func BenchmarkProcWake(b *testing.B) {
+	k := NewKernel()
+	k.Go("waker", func(p *Proc) {
+		p.Sleep(1) // park until the timer starts
+		for i := 0; i < b.N; i++ {
+			p.Sleep(0)
+		}
+	})
+	if err := k.RunUntil(0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkProcStart measures a process's whole life: Go, the start
+// event that creates its coroutine, and an empty body returning.
+func BenchmarkProcStart(b *testing.B) {
+	k := NewKernel()
+	fn := func(p *Proc) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Go("p", fn)
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

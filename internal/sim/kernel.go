@@ -100,14 +100,16 @@ type Kernel struct {
 	now        Time
 	seq        uint64
 	events     eventHeap
-	ladder     *ladderQueue  // non-nil when the ladder queue is selected; events is unused then
-	yield      chan struct{} // hand-off channel shared by all procs
-	live       int           // procs started and not yet finished
-	daemons    int           // live procs marked as daemons (service loops)
-	executed   uint64        // events run so far
-	failed     error         // first process panic, if any
-	free       []*event      // recycled event structs (see event)
-	maxPending int           // high-water mark of the pending-event count
+	ladder     *ladderQueue // non-nil when the ladder queue is selected; events is unused then
+	procs      []*Proc      // procs started and not yet finished (swap-remove)
+	idle       []*coroutine // coroutines whose proc finished, for reuse
+	released   bool         // Release has run: no proc starts or wakes again
+	live       int          // procs created and not yet finished
+	daemons    int          // live procs marked as daemons (service loops)
+	executed   uint64       // events run so far
+	failed     error        // first process panic, if any
+	free       []*event     // recycled event structs (see event)
+	maxPending int          // high-water mark of the pending-event count
 }
 
 // Event queue implementations selectable by NewKernelQueue and, through
@@ -130,7 +132,7 @@ func NewKernel() *Kernel {
 // implementation: QueueHeap, QueueLadder, or "" for the default (heap).
 // Unknown names panic — a typo in a config must not silently fall back.
 func NewKernelQueue(queue string) *Kernel {
-	k := &Kernel{yield: make(chan struct{})}
+	k := &Kernel{}
 	switch queue {
 	case "", QueueHeap:
 	case QueueLadder:

@@ -211,11 +211,15 @@ func (ss *ShardSet) Run(workers int) error {
 					}
 					done <- struct{}{}
 				}
+				done <- struct{}{} // exiting: no worker outlives Run
 			}(w)
 		}
 		defer func() {
 			for _, c := range start {
 				close(c)
+			}
+			for range start {
+				<-done
 			}
 		}()
 	}
@@ -268,6 +272,15 @@ func (ss *ShardSet) Run(workers int) error {
 			live-daemons, G)
 	}
 	return nil
+}
+
+// Release stops every started, unfinished process on every group's
+// kernel (see Kernel.Release). Call it after the last Run; the census and
+// Fingerprint are unchanged by it.
+func (ss *ShardSet) Release() {
+	for _, k := range ss.kernels {
+		k.Release()
+	}
 }
 
 // srcLess orders two source groups by their head posts: earliest send

@@ -46,8 +46,8 @@ type Result struct {
 // Read performs a collective two-phase read of the whole PFS file by
 // parties compute nodes, targeting an interleaved distribution of
 // recordSize records (record j belongs to node j mod parties). It builds
-// the node processes itself and runs the machine's kernel until the
-// exchange completes.
+// the node processes itself and runs the machine to completion with
+// Machine.Run, so the machine cannot be run again afterwards.
 func Read(m *machine.Machine, file string, recordSize int64, parties int, cfg Config) (*Result, error) {
 	size, err := m.FS.Size(file)
 	if err != nil {
@@ -129,7 +129,7 @@ func Read(m *machine.Machine, file string, recordSize int64, parties int, cfg Co
 			}()
 		})
 	}
-	if err := k.Run(); err != nil {
+	if err := m.Run(); err != nil {
 		return nil, err
 	}
 	for rank, err := range errs {
