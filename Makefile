@@ -37,17 +37,14 @@ bench-short:
 	$(GO) run ./cmd/runbench -short -shards 1,4 -o /dev/null
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -benchmem ./internal/sim/ ./internal/mesh/ ./internal/sweep/ ./internal/stats/ ./internal/pfs/ ./internal/ionode/
 
-# Every simcheck sweep also arms the ladder-queue differential twin
-# (-queue ladder): each seed re-executes under the amortized-O(1)
-# ladder event queue and must match fingerprint + trace digest.
 simcheck:
-	$(GO) run ./cmd/simcheck -seeds 100 -queue ladder
+	$(GO) run ./cmd/simcheck -seeds 100
 
 # chaos force-arms transient disk faults with the retry layer on every
 # seed: all must recover, and at least one must be shown fatal without
 # the retries.
 chaos:
-	$(GO) run ./cmd/simcheck -chaos -seeds 25 -queue ladder
+	$(GO) run ./cmd/simcheck -chaos -seeds 25
 
 # crash force-arms whole-I/O-node outages (and sometimes a permanent
 # RAID member loss with an online rebuild) under restart-aware failover
@@ -55,7 +52,7 @@ chaos:
 # or counted unavailable, and at least one seed must be shown fatal with
 # the failover and parity stripped.
 crash:
-	$(GO) run ./cmd/simcheck -crash -seeds 25 -queue ladder
+	$(GO) run ./cmd/simcheck -crash -seeds 25
 
 # fmt fails (listing the files) if anything is not gofmt-clean.
 fmt:
@@ -72,8 +69,8 @@ lint:
 		else echo "lint: govulncheck not installed, skipping"; fi
 
 # detgate pins the simulation's determinism (golden fingerprint + trace
-# digests: healthy, chaos, and crash runs, under both the heap and the
-# ladder event queue on both engines) and the zero-allocation hot paths.
+# digests: healthy, chaos, and crash runs on both engines) and the
+# zero-allocation hot paths.
 detgate:
 	$(GO) run ./cmd/detgate -allocs
 
@@ -91,14 +88,14 @@ golden:
 # unfairness) under the race detector on the sharded engine, plus a
 # quick ext-qos tail-latency sweep.
 qos-smoke:
-	$(GO) run -race ./cmd/simcheck -qos -seeds 25 -parallel 4 -shards 4 -queue ladder
+	$(GO) run -race ./cmd/simcheck -qos -seeds 25 -parallel 4 -shards 4
 	$(GO) run ./cmd/experiments -quick -run ext-qos -parallel 4
 
 # scale-smoke is the large-machine gate: the random-scenario oracle
 # battery on the 256x64 platform, the 1024x256 shard differential, and
 # a quick ext-scale coordination-cost sweep.
 scale-smoke:
-	$(GO) run -race ./cmd/simcheck -scale -seeds 12 -parallel 4 -shards 4 -queue ladder
+	$(GO) run -race ./cmd/simcheck -scale -seeds 12 -parallel 4 -shards 4
 	$(GO) test -race -run TestScaleShardDifferential ./internal/runbench/
 	$(GO) run ./cmd/experiments -quick -run ext-scale -parallel 4
 
@@ -108,11 +105,11 @@ scale-smoke:
 # regression gate against the committed baseline (self-skipping when
 # this host's CPU count differs from the baseline's).
 ci: fmt vet lint build race
-	$(GO) run -race ./cmd/simcheck -seeds 25 -parallel 4 -queue ladder
-	$(GO) run -race ./cmd/simcheck -chaos -seeds 25 -parallel 4 -queue ladder
-	$(GO) run -race ./cmd/simcheck -crash -seeds 25 -parallel 4 -queue ladder
-	$(GO) run -race ./cmd/simcheck -scale -seeds 12 -parallel 4 -shards 4 -queue ladder
-	$(GO) run -race ./cmd/simcheck -qos -seeds 25 -parallel 4 -shards 4 -queue ladder
+	$(GO) run -race ./cmd/simcheck -seeds 25 -parallel 4
+	$(GO) run -race ./cmd/simcheck -chaos -seeds 25 -parallel 4
+	$(GO) run -race ./cmd/simcheck -crash -seeds 25 -parallel 4
+	$(GO) run -race ./cmd/simcheck -scale -seeds 12 -parallel 4 -shards 4
+	$(GO) run -race ./cmd/simcheck -qos -seeds 25 -parallel 4 -shards 4
 	$(GO) run ./cmd/experiments -quick -run ext-tournament -parallel 4
 	$(GO) run ./cmd/experiments -quick -run ext-qos -parallel 4
 	$(GO) run ./cmd/experiments -quick -run ext-scale -parallel 4
@@ -121,7 +118,6 @@ ci: fmt vet lint build race
 	$(GO) run ./cmd/benchsweep -short -o /dev/null
 	$(GO) run ./cmd/runbench -short -o /dev/null
 	$(GO) run ./cmd/runbench -iterations 5 -baseline BENCH_run.json -tolerance 0.85 -o /dev/null
-	$(GO) run ./cmd/runbench -queue ladder -iterations 5 -baseline BENCH_run.json -tolerance 0.85 -o /dev/null
 	@echo "ci: all gates passed"
 
 experiments:

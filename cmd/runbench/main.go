@@ -38,7 +38,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/machine"
 	"repro/internal/runbench"
 	"repro/internal/scenarios"
 )
@@ -91,24 +90,8 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the measurement runs")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the measurement runs")
 		shardsList = flag.String("shards", "", "comma-separated sharded-engine worker counts to also measure (e.g. 1,2,4,8)")
-		queue      = flag.String("queue", "", "event-queue implementation for every measured scenario (heap, ladder; default: the config default). Scenario names are kept unchanged so -baseline comparisons still line up — each measurement records its queue in the JSON")
 	)
 	flag.Parse()
-	// applyQueue overrides the event queue without renaming the
-	// scenario: the ladder run gates directly against the committed
-	// heap baseline's scenario entries.
-	applyQueue := func(sc scenarios.Scenario) scenarios.Scenario {
-		if *queue == "" {
-			return sc
-		}
-		base := sc.Config
-		sc.Config = func() machine.Config {
-			cfg := base()
-			cfg.Queue = *queue
-			return cfg
-		}
-		return sc
-	}
 	opt := runbench.Options{Iterations: *iters}
 	if *short {
 		opt.Iterations = 1
@@ -146,7 +129,7 @@ func main() {
 		Scenarios:  map[string]runbench.Measurement{},
 	}
 	for _, sc := range scs {
-		m, err := runbench.Measure(applyQueue(sc), opt)
+		m, err := runbench.Measure(sc, opt)
 		if err != nil {
 			fatal(err.Error())
 		}
@@ -169,7 +152,7 @@ func main() {
 		var serial, widest runbench.Measurement
 		widestN := 0
 		for _, n := range counts {
-			m, err := runbench.Measure(applyQueue(scenarios.WithShards(matrix, n)), opt)
+			m, err := runbench.Measure(scenarios.WithShards(matrix, n), opt)
 			if err != nil {
 				fatal(err.Error())
 			}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// fairReplay decodes data into a fair-queue policy plus an interleaved
+// fairReplay decodes data into a fair queueing policy plus an interleaved
 // push/pop schedule, drives a standalone fairQueue through it, and
 // returns the dispatch order as a printable transcript. The transcript
 // is everything observable about the scheduler: (tenant, seq, tag) per

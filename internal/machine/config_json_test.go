@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -23,8 +24,7 @@ func TestConfigRoundTrip(t *testing.T) {
 	orig.MemberFail = MemberFailPlan{At: 3 * sim.Second, Array: 1, Member: 2}
 	orig.Rebuild = disk.RebuildPolicy{Chunk: 128 << 10, Gap: 5 * sim.Millisecond}
 	orig.NoParity = true
-	orig.Shards = 4              // engine selection must survive the round trip too
-	orig.Queue = sim.QueueLadder // and so must the event-queue selection
+	orig.Shards = 4 // engine selection must survive the round trip too
 	// Same for the prefetcher-zoo knobs: every controller field non-zero.
 	orig.Prefetch = PrefetchOptions{
 		Policy: "hybrid",
@@ -72,5 +72,34 @@ func TestLoadConfigErrors(t *testing.T) {
 	}
 	if _, err := LoadConfig(garbage); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestLoadConfigLegacyQueue: configs archived while the event queue was
+// selectable carry a "Queue" key. The names that existed all give the
+// same schedule, so they load and are ignored; anything else is still
+// an error.
+func TestLoadConfigLegacyQueue(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "legacy.json")
+	for _, name := range []string{"", "heap", "ladder"} {
+		js := fmt.Sprintf(`{"ComputeNodes": 4, "IONodes": 2, "Queue": %q}`, name)
+		if err := os.WriteFile(legacy, []byte(js), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadConfig(legacy)
+		if err != nil {
+			t.Fatalf("legacy %q config rejected: %v", name, err)
+		}
+		if got.ComputeNodes != 4 || got.IONodes != 2 {
+			t.Fatalf("legacy %q config loaded as %+v", name, got)
+		}
+	}
+	bad := filepath.Join(dir, "splay.json")
+	if err := os.WriteFile(bad, []byte(`{"ComputeNodes": 4, "Queue": "splay"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadConfig(bad); err == nil {
+		t.Fatal(`unknown "Queue": "splay" accepted`)
 	}
 }

@@ -121,14 +121,6 @@ type Config struct {
 	// Ignored in legacy mode (Shards == 0).
 	IOGroups int
 
-	// Queue selects the kernel's event-queue implementation:
-	// sim.QueueHeap (binary min-heap), sim.QueueLadder (amortized-O(1)
-	// ladder queue), or "" for the default (heap). Both realize the
-	// identical (time, seq) total order, so the choice changes
-	// per-event cost only — fingerprints and trace digests are
-	// bit-identical, and detgate pins that on the golden scenarios.
-	Queue string
-
 	// DiskFaultRate arms per-request fault injection on every member
 	// disk (0 disables). Faults surface as read errors at the
 	// application, with the prefetcher falling back to direct reads.
@@ -242,10 +234,10 @@ func Build(cfg Config) *Machine {
 		if cfg.IOGroups > 0 && cfg.IOGroups < groups {
 			groups = cfg.IOGroups
 		}
-		ss = sim.NewShardSetQueue(1+groups, cfg.Mesh.HopLatency+cfg.Mesh.RecvOverhead, cfg.Queue)
+		ss = sim.NewShardSet(1+groups, cfg.Mesh.HopLatency+cfg.Mesh.RecvOverhead)
 		k = ss.Kernel(0)
 	} else {
-		k = sim.NewKernelQueue(cfg.Queue)
+		k = sim.NewKernel()
 	}
 	m := mesh.New(k, cfg.Mesh)
 	mach := &Machine{K: k, Mesh: m, cfg: cfg, ss: ss}
@@ -488,15 +480,6 @@ func (m *Machine) PerGroupExecuted() []uint64 {
 		return m.ss.PerGroupExecuted()
 	}
 	return nil
-}
-
-// QueueName reports which event-queue implementation the machine's
-// kernels run on (resolving the config default).
-func (m *Machine) QueueName() string {
-	if m.ss != nil {
-		return m.ss.QueueName()
-	}
-	return m.K.QueueName()
 }
 
 // MaxQueueDepth reports the deepest any kernel's event queue ever got —

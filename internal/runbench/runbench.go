@@ -54,14 +54,11 @@ type Measurement struct {
 	Fingerprint   string  `json:"fingerprint"`     // workload.Result.Fingerprint, %016x
 	TraceDigest   string  `json:"trace_digest"`    // trace.Log.Digest, %016x
 
-	// Queue is the event-queue implementation the kernels ran on (heap
-	// or ladder); MaxQueueDepth is the deepest any kernel's queue got —
-	// a deterministic property of the schedule, and the depth at which
-	// the queue implementations' costs diverge. BarrierDrainSec is the
+	// MaxQueueDepth is the deepest any kernel's event queue got — a
+	// deterministic property of the schedule. BarrierDrainSec is the
 	// wall-clock total of the sharded engine's single-threaded barrier
 	// drain during the instrumented run (sharded only): the serial
 	// fraction that bounds parallel speedup.
-	Queue           string  `json:"queue"`
 	MaxQueueDepth   int     `json:"max_queue_depth"`
 	BarrierDrainSec float64 `json:"barrier_drain_sec,omitempty"`
 
@@ -134,7 +131,6 @@ func Measure(sc scenarios.Scenario, opt Options) (Measurement, error) {
 		m.AllocsPerRead = float64(ms1.Mallocs-ms0.Mallocs) / float64(res.ReadCalls)
 		m.BytesPerRead = float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(res.ReadCalls)
 	}
-	m.Queue = res.Machine.QueueName()
 	m.MaxQueueDepth = res.Machine.MaxQueueDepth()
 	m.BarrierDrainSec = res.Machine.BarrierDrainWall().Seconds()
 	m.Fingerprint = fmt.Sprintf("%016x", res.Fingerprint())

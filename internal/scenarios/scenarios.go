@@ -163,24 +163,6 @@ func WithShards(sc Scenario, n int) Scenario {
 	}
 }
 
-// WithQueue returns sc reconfigured to run its kernels on the named
-// event-queue implementation (sim.QueueHeap / sim.QueueLadder),
-// renamed "<name>@queue=<q>". Both queues realize the identical
-// (time, seq) total order, so detgate asserts the renamed run's
-// digests equal the original's rather than recording new goldens.
-func WithQueue(sc Scenario, queue string) Scenario {
-	base := sc.Config
-	return Scenario{
-		Name: fmt.Sprintf("%s@queue=%s", sc.Name, queue),
-		Config: func() machine.Config {
-			cfg := base()
-			cfg.Queue = queue
-			return cfg
-		},
-		Tweak: sc.Tweak,
-	}
-}
-
 // ByName returns the golden scenario with the given name — or the scale
 // scenario, which is addressable by name without being golden — or
 // false.

@@ -44,18 +44,19 @@ func BenchmarkEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkQueuePushPop compares the two event-queue implementations
-// head to head on the classic hold model — pop the earliest event,
-// reschedule it a pseudo-random increment later — at three resident
-// depths. The heap pays an O(log n) sift per operation; the ladder is
-// amortized O(1), and its steady state must allocate nothing (the
-// 1k/100k variants are gated at 0 allocs/op by detgate -allocs).
+// BenchmarkQueuePushPop measures the kernel's ladder queue against the
+// reference heap (heap_test.go) on the classic hold model — pop the
+// earliest event, reschedule it a pseudo-random increment later — at
+// three resident depths. The heap pays an O(log n) sift per operation;
+// the ladder is amortized O(1), and its steady state must allocate
+// nothing (the 1k/100k variants are gated at 0 allocs/op by detgate
+// -allocs).
 func BenchmarkQueuePushPop(b *testing.B) {
 	depths := []struct {
 		name string
 		n    int
 	}{{"1k", 1 << 10}, {"100k", 100_000}, {"1M", 1 << 20}}
-	for _, impl := range []string{QueueHeap, QueueLadder} {
+	for _, impl := range []string{"heap", "ladder"} {
 		for _, d := range depths {
 			b.Run(impl+"/depth="+d.name, func(b *testing.B) {
 				benchQueuePushPop(b, impl, d.n)
@@ -65,15 +66,12 @@ func BenchmarkQueuePushPop(b *testing.B) {
 }
 
 func benchQueuePushPop(b *testing.B, impl string, depth int) {
-	var q interface {
-		push(*event)
-		pop() *event
-	}
+	var q queueUnderTest
 	switch impl {
-	case QueueHeap:
+	case "heap":
 		h := make(eventHeap, 0, depth+1)
 		q = &h
-	case QueueLadder:
+	case "ladder":
 		q = newLadderQueue()
 	}
 	// Deterministic xorshift increments; no wall clock or math/rand so

@@ -2,11 +2,14 @@ package sim
 
 import "testing"
 
-// FuzzQueueOrder feeds both event-queue implementations arbitrary
-// interleavings of pushes (times at four magnitudes, from adjacent
-// ticks to far-future DownDeadline-scale timers, including exact ties)
-// and pops, and asserts the ladder queue's pop sequence equals the
-// heap's exactly — the (time, seq) total order both must realize.
+// FuzzQueueOrder feeds the ladder queue and the reference heap
+// (heap_test.go) arbitrary interleavings of pushes (times at four
+// magnitudes, from adjacent ticks to far-future DownDeadline-scale
+// timers, including exact ties) and pops. After every operation the
+// ladder must agree with the heap on everything the kernel reads: the
+// popped event's (time, seq), peek's earliest time, and the resident
+// count n (RunUntil, the sharded window computation and Pending read
+// the last two).
 func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 255, 3, 3})
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7})
@@ -20,13 +23,12 @@ func FuzzQueueOrder(f *testing.F) {
 		hp := &eventHeap{}
 		lq := newLadderQueue()
 		var seq uint64
-		size := 0
 		popBoth := func() {
 			a, b := hp.pop(), lq.pop()
 			if a.t != b.t || a.seq != b.seq {
 				t.Fatalf("pop mismatch: heap (%v, %d) vs ladder (%v, %d)", a.t, a.seq, b.t, b.seq)
 			}
-			size--
+			checkAgree(t, hp, lq)
 		}
 		i := 0
 		next := func() byte {
@@ -40,7 +42,7 @@ func FuzzQueueOrder(f *testing.F) {
 		for i < len(data) {
 			op := next()
 			if op&3 == 3 {
-				if size > 0 {
+				if len(*hp) > 0 {
 					popBoth()
 				}
 				continue
@@ -57,15 +59,29 @@ func FuzzQueueOrder(f *testing.F) {
 			seq++
 			hp.push(&event{t: tm, seq: seq})
 			lq.push(&event{t: tm, seq: seq})
-			size++
+			checkAgree(t, hp, lq)
 		}
-		for size > 0 {
+		for len(*hp) > 0 {
 			popBoth()
 		}
 		if tm, ok := lq.peek(); ok {
 			t.Fatalf("ladder not empty after drain: peek %v", tm)
 		}
 	})
+}
+
+// checkAgree fails the test unless the ladder's peek and resident count
+// equal the reference heap's.
+func checkAgree(t *testing.T, hp *eventHeap, lq *ladderQueue) {
+	t.Helper()
+	ht, hok := hp.peek()
+	lt, lok := lq.peek()
+	if ht != lt || hok != lok {
+		t.Fatalf("peek mismatch: heap (%v, %v) vs ladder (%v, %v)", ht, hok, lt, lok)
+	}
+	if lq.n != len(*hp) {
+		t.Fatalf("resident count mismatch: heap %d vs ladder %d", len(*hp), lq.n)
+	}
 }
 
 // FuzzKernelOrdering feeds the scheduler arbitrary shapes of At/After

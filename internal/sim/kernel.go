@@ -25,69 +25,13 @@ type event struct {
 	err  error
 }
 
-// eventHeap is a min-heap ordered by (t, seq), with the sift operations
-// written out directly rather than through container/heap to keep the
-// per-event interface boxing and indirect calls off the hot path. The
-// ordering is identical to the container/heap formulation it replaces.
-type eventHeap []*event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-
-// push adds e and restores the heap by sifting it up.
-func (h *eventHeap) push(e *event) {
-	*h = append(*h, e)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the minimum event.
-func (h *eventHeap) pop() *event {
-	q := *h
-	n := len(q) - 1
-	top := q[0]
-	q[0] = q[n]
-	q[n] = nil
-	q = q[:n]
-	*h = q
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && q.less(l, min) {
-			min = l
-		}
-		if r < n && q.less(r, min) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		q[i], q[min] = q[min], q[i]
-		i = min
-	}
-	return top
-}
-
 // Kernel is a discrete-event simulation scheduler. It is not safe for
 // concurrent use from multiple OS threads; all concurrency in a simulation
 // is expressed through processes, which the kernel interleaves
 // deterministically one at a time.
 //
 // Simultaneous events execute in an explicit documented total order,
-// never by heap insertion accident: (time, seq), where seq is the
+// never by queue insertion accident: (time, seq), where seq is the
 // kernel's scheduling sequence number — events booked earlier run
 // earlier at the same instant. In a sharded execution (ShardSet) each
 // group's kernel keeps its own seq counter, and cross-group deliveries
@@ -99,8 +43,7 @@ func (h *eventHeap) pop() *event {
 type Kernel struct {
 	now        Time
 	seq        uint64
-	events     eventHeap
-	ladder     *ladderQueue // non-nil when the ladder queue is selected; events is unused then
+	events     *ladderQueue // pending events in (t, seq) order (see ladder.go)
 	procs      []*Proc      // procs started and not yet finished (swap-remove)
 	idle       []*coroutine // coroutines whose proc finished, for reuse
 	released   bool         // Release has run: no proc starts or wakes again
@@ -112,43 +55,9 @@ type Kernel struct {
 	maxPending int          // high-water mark of the pending-event count
 }
 
-// Event queue implementations selectable by NewKernelQueue and, through
-// machine.Config.Queue, by every scenario. Both order events by the
-// identical (time, seq) total order — the choice changes per-event cost,
-// never the schedule — so fingerprints and trace digests are
-// bit-identical across queues and detgate pins that equivalence.
-const (
-	QueueHeap   = "heap"   // binary min-heap, O(log n) per operation (the default)
-	QueueLadder = "ladder" // ladder queue, amortized O(1) per operation (see ladder.go)
-)
-
-// NewKernel returns an empty kernel with the clock at zero, using the
-// default binary-heap event queue.
+// NewKernel returns an empty kernel with the clock at zero.
 func NewKernel() *Kernel {
-	return NewKernelQueue(QueueHeap)
-}
-
-// NewKernelQueue returns an empty kernel using the named event queue
-// implementation: QueueHeap, QueueLadder, or "" for the default (heap).
-// Unknown names panic — a typo in a config must not silently fall back.
-func NewKernelQueue(queue string) *Kernel {
-	k := &Kernel{}
-	switch queue {
-	case "", QueueHeap:
-	case QueueLadder:
-		k.ladder = newLadderQueue()
-	default:
-		panic(fmt.Sprintf("sim: unknown event queue implementation %q", queue))
-	}
-	return k
-}
-
-// QueueName reports which event queue implementation the kernel runs on.
-func (k *Kernel) QueueName() string {
-	if k.ladder != nil {
-		return QueueLadder
-	}
-	return QueueHeap
+	return &Kernel{events: newLadderQueue()}
 }
 
 // Now returns the current simulated time.
@@ -156,49 +65,21 @@ func (k *Kernel) Now() Time { return k.now }
 
 // peek returns the time of the earliest pending event, if any. The
 // sharded scheduler uses it to compute each round's lookahead window.
-func (k *Kernel) peek() (Time, bool) {
-	if k.ladder != nil {
-		return k.ladder.peek()
-	}
-	if len(k.events) == 0 {
-		return 0, false
-	}
-	return k.events[0].t, true
-}
+func (k *Kernel) peek() (Time, bool) { return k.events.peek() }
 
-// qpush inserts a booked event into whichever queue the kernel runs on
-// and tracks the pending-count high-water mark.
+// qpush inserts a booked event into the queue and tracks the
+// pending-count high-water mark.
 func (k *Kernel) qpush(e *event) {
-	if k.ladder != nil {
-		k.ladder.push(e)
-		if k.ladder.n > k.maxPending {
-			k.maxPending = k.ladder.n
-		}
-		return
-	}
 	k.events.push(e)
-	if n := len(k.events); n > k.maxPending {
-		k.maxPending = n
-	}
+	k.maxPending = max(k.maxPending, k.events.n)
 }
 
-// qpop removes and returns the earliest pending event. Both queues pop
-// in the identical (time, seq) order; callers must know the queue is
-// non-empty.
-func (k *Kernel) qpop() *event {
-	if k.ladder != nil {
-		return k.ladder.pop()
-	}
-	return k.events.pop()
-}
+// qpop removes and returns the earliest pending event in (time, seq)
+// order; callers must know the queue is non-empty.
+func (k *Kernel) qpop() *event { return k.events.pop() }
 
 // Pending reports the number of events waiting to run.
-func (k *Kernel) Pending() int {
-	if k.ladder != nil {
-		return k.ladder.n
-	}
-	return len(k.events)
-}
+func (k *Kernel) Pending() int { return k.events.n }
 
 // MaxPending reports the high-water mark of the pending-event count —
 // the deepest the event queue ever got. It is a deterministic property

@@ -2,8 +2,8 @@ package sim
 
 // This file implements a ladder queue (Tang, Goh & Thng's refinement of
 // the calendar queue): a priority queue over events with amortized O(1)
-// push and pop, replacing the binary heap's O(log n) sifts on the
-// kernel's hottest path. See DESIGN.md §12 for the invariants and the
+// push and pop. It is the kernel's only event queue, so every event of
+// every simulation crosses it. See DESIGN.md §12 for the invariants and the
 // ordering proof sketch; the short version:
 //
 //   - The queue is a hierarchy of "rungs", each an array of equal-width
@@ -17,14 +17,15 @@ package sim
 //     the only place events are ever compared pairwise.
 //
 //   - Exactness, not approximation: pop order is the kernel's (time,
-//     seq) total order, bit-identical to the heap's. Bucketing by time
+//     seq) total order, bit-identical to a binary heap's. Bucketing by time
 //     can never split a (t, seq) tie across buckets, and within one
 //     bucket events are appended in ascending seq order (pushes book
 //     seq monotonically; redistribution preserves relative order), so
 //     sorting a bucket by (t, seq) with a stable comparison reproduces
-//     the global order exactly. detgate pins this equivalence on the
-//     golden scenarios and FuzzQueueOrder hammers it on arbitrary
-//     interleavings.
+//     the global order exactly. FuzzQueueOrder checks it against a
+//     reference heap (heap_test.go) on arbitrary interleavings, and
+//     detgate's golden digests, recorded on that heap, pin it on the
+//     golden scenarios.
 //
 //   - All storage (bucket arrays, bottom, top, sort scratch) is
 //     retained and reused across operations, so the steady state

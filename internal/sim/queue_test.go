@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"testing"
 )
 
@@ -18,8 +20,9 @@ func (x *xorshift) next() uint64 {
 	return uint64(v)
 }
 
-// queueUnderTest abstracts the two implementations for differential
-// tests. Both must pop the identical (t, seq) order.
+// queueUnderTest abstracts the ladder queue and the reference heap for
+// differential tests and benchmarks. Both must pop the identical
+// (t, seq) order.
 type queueUnderTest interface {
 	push(*event)
 	pop() *event
@@ -119,137 +122,121 @@ func TestLadderFarFutureTimer(t *testing.T) {
 	}
 }
 
-// TestNewKernelQueueNames: "" and "heap" select the heap, "ladder" the
-// ladder, anything else is a loud config error.
-func TestNewKernelQueueNames(t *testing.T) {
-	if got := NewKernelQueue("").QueueName(); got != QueueHeap {
-		t.Fatalf("default queue = %q, want %q", got, QueueHeap)
-	}
-	if got := NewKernelQueue(QueueHeap).QueueName(); got != QueueHeap {
-		t.Fatalf("heap queue = %q", got)
-	}
-	if got := NewKernelQueue(QueueLadder).QueueName(); got != QueueLadder {
-		t.Fatalf("ladder queue = %q", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on unknown queue name")
-		}
-	}()
-	NewKernelQueue("splay")
+type execRec struct {
+	t  Time
+	id int
 }
 
-// TestKernelQueueEquivalence runs the same self-rescheduling workload on
-// a heap kernel and a ladder kernel and requires identical execution
-// records and fingerprints — the kernel-level differential the detgate
-// golden matrix extends to full scenarios.
+// recDigest folds an execution record — (time, id) pairs in run order —
+// into an FNV-1a digest, so a kernel test can pin a whole schedule in
+// one constant.
+func recDigest(out []execRec) uint64 {
+	h := fnv.New64a()
+	var buf [16]byte
+	for _, r := range out {
+		binary.LittleEndian.PutUint64(buf[:8], uint64(r.t))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(int64(r.id)))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// TestKernelQueueEquivalence runs a self-rescheduling workload with a
+// far-future timer amid the churn and requires the kernel to reproduce
+// the execution record and fingerprint a binary-heap kernel produced on
+// the same workload. The constants were recorded on the heap; the
+// detgate golden matrix extends the same pin to full scenarios.
 func TestKernelQueueEquivalence(t *testing.T) {
-	type rec struct {
-		t  Time
-		id int
+	const (
+		wantEvents = 563
+		wantDigest = 0x513653ef95c845e0
+		wantFP     = 0x54ea3a87e2004440
+	)
+	k := NewKernel()
+	var out []execRec
+	r := xorshift(0x12345)
+	id := 0
+	var spawn func(depth int)
+	spawn = func(depth int) {
+		me := id
+		id++
+		k.After(Time(r.next()%5000), func() {
+			out = append(out, execRec{k.Now(), me})
+			if depth < 4 && r.next()%3 == 0 {
+				spawn(depth + 1)
+				spawn(depth + 1)
+			}
+		})
 	}
-	run := func(queue string) ([]rec, uint64) {
-		k := NewKernelQueue(queue)
-		var out []rec
-		r := xorshift(0x12345)
-		id := 0
-		var spawn func(depth int)
-		spawn = func(depth int) {
-			me := id
-			id++
-			k.After(Time(r.next()%5000), func() {
-				out = append(out, rec{k.Now(), me})
-				if depth < 4 && r.next()%3 == 0 {
-					spawn(depth + 1)
-					spawn(depth + 1)
-				}
-			})
-		}
-		for i := 0; i < 200; i++ {
-			spawn(0)
-		}
-		// A far-future daemon-style timer amid the churn.
-		k.After(10*Second, func() { out = append(out, rec{k.Now(), -1}) })
-		if err := k.Run(); err != nil {
-			t.Fatalf("%s run: %v", queue, err)
-		}
-		return out, k.Fingerprint()
+	for i := 0; i < 200; i++ {
+		spawn(0)
 	}
-	h, hfp := run(QueueHeap)
-	l, lfp := run(QueueLadder)
-	if hfp != lfp {
-		t.Fatalf("fingerprint mismatch: heap %016x, ladder %016x", hfp, lfp)
+	k.After(10*Second, func() { out = append(out, execRec{k.Now(), -1}) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if len(h) != len(l) {
-		t.Fatalf("executed %d events on heap, %d on ladder", len(h), len(l))
+	if len(out) != wantEvents {
+		t.Fatalf("executed %d events, want %d", len(out), wantEvents)
 	}
-	for i := range h {
-		if h[i] != l[i] {
-			t.Fatalf("execution %d: heap %+v, ladder %+v", i, h[i], l[i])
-		}
+	if d := recDigest(out); d != wantDigest {
+		t.Fatalf("execution record digest %#016x, want %#016x", d, uint64(wantDigest))
+	}
+	if fp := k.Fingerprint(); fp != wantFP {
+		t.Fatalf("fingerprint %#016x, want %#016x", fp, uint64(wantFP))
 	}
 }
 
 // TestKernelMaxPending: the high-water mark counts the deepest the
-// queue got, on both implementations.
+// queue got, and Pending returns to zero once it drains.
 func TestKernelMaxPending(t *testing.T) {
-	for _, queue := range []string{QueueHeap, QueueLadder} {
-		k := NewKernelQueue(queue)
-		for i := 0; i < 37; i++ {
-			k.At(Time(i), func() {})
-		}
-		if err := k.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if got := k.MaxPending(); got != 37 {
-			t.Fatalf("%s MaxPending = %d, want 37", queue, got)
-		}
-		if got := k.Pending(); got != 0 {
-			t.Fatalf("%s Pending after drain = %d", queue, got)
-		}
+	k := NewKernel()
+	for i := 0; i < 37; i++ {
+		k.At(Time(i), func() {})
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := k.MaxPending(); got != 37 {
+		t.Fatalf("MaxPending = %d, want 37", got)
+	}
+	if got := k.Pending(); got != 0 {
+		t.Fatalf("Pending after drain = %d", got)
 	}
 }
 
-// TestShardSetQueueEquivalence: a sharded ping-pong on ladder kernels
-// matches the heap fingerprint, and the drain-wall/max-depth telemetry
-// is populated.
+// TestShardSetQueueEquivalence: a sharded ping-pong reproduces the
+// fingerprint heap kernels produced on it, and the drain-wall/max-depth
+// telemetry is populated.
 func TestShardSetQueueEquivalence(t *testing.T) {
-	const L = Time(10)
-	run := func(queue string) (*ShardSet, uint64) {
-		ss := NewShardSetQueue(4, L, queue)
-		if got := ss.QueueName(); got != queue {
-			t.Fatalf("QueueName = %q, want %q", got, queue)
-		}
-		ss.SetResolver(echoResolver{l: L})
-		n := 0
-		var bounce func(g int) func()
-		bounce = func(g int) func() {
-			return func() {
-				n++
-				if n < 200 {
-					p := ss.Post(g)
-					p.Dst = (g + 1) % 4
-					p.Fn = bounce((g + 1) % 4)
-				}
+	const (
+		L      = Time(10)
+		wantFP = 0xe807cc1561a6e023
+	)
+	ss := NewShardSet(4, L)
+	ss.SetResolver(echoResolver{l: L})
+	n := 0
+	var bounce func(g int) func()
+	bounce = func(g int) func() {
+		return func() {
+			n++
+			if n < 200 {
+				p := ss.Post(g)
+				p.Dst = (g + 1) % 4
+				p.Fn = bounce((g + 1) % 4)
 			}
 		}
-		ss.Kernel(0).At(0, bounce(0))
-		if err := ss.Run(2); err != nil {
-			t.Fatal(err)
-		}
-		return ss, ss.Fingerprint()
 	}
-	hss, hfp := run(QueueHeap)
-	lss, lfp := run(QueueLadder)
-	if hfp != lfp {
-		t.Fatalf("sharded fingerprint mismatch: heap %016x, ladder %016x", hfp, lfp)
+	ss.Kernel(0).At(0, bounce(0))
+	if err := ss.Run(2); err != nil {
+		t.Fatal(err)
 	}
-	for _, ss := range []*ShardSet{hss, lss} {
-		if ss.MaxPending() < 1 {
-			t.Fatalf("MaxPending = %d, want >= 1", ss.MaxPending())
-		}
-		if ss.DrainWall() <= 0 {
-			t.Fatalf("DrainWall = %v, want > 0", ss.DrainWall())
-		}
+	if fp := ss.Fingerprint(); fp != wantFP {
+		t.Fatalf("sharded fingerprint %#016x, want %#016x", fp, uint64(wantFP))
+	}
+	if ss.MaxPending() < 1 {
+		t.Fatalf("MaxPending = %d, want >= 1", ss.MaxPending())
+	}
+	if ss.DrainWall() <= 0 {
+		t.Fatalf("DrainWall = %v, want > 0", ss.DrainWall())
 	}
 }

@@ -106,17 +106,10 @@ type ShardSet struct {
 	drainWall time.Duration
 }
 
-// NewShardSet builds groups empty kernels coupled by lookahead, using
-// the default event queue (heap). The lookahead must be positive: a
-// zero bound would admit same-instant cross-group delivery, which the
-// windowed protocol cannot order.
+// NewShardSet builds groups empty kernels coupled by lookahead. The
+// lookahead must be positive: a zero bound would admit same-instant
+// cross-group delivery, which the windowed protocol cannot order.
 func NewShardSet(groups int, lookahead Time) *ShardSet {
-	return NewShardSetQueue(groups, lookahead, QueueHeap)
-}
-
-// NewShardSetQueue is NewShardSet with every group's kernel on the
-// named event queue implementation (see NewKernelQueue).
-func NewShardSetQueue(groups int, lookahead Time, queue string) *ShardSet {
 	if groups < 1 {
 		panic(fmt.Sprintf("sim: shard set needs at least one group, got %d", groups))
 	}
@@ -135,14 +128,10 @@ func NewShardSetQueue(groups int, lookahead Time, queue string) *ShardSet {
 		batch:     make([][]*event, groups),
 	}
 	for g := range ss.kernels {
-		ss.kernels[g] = NewKernelQueue(queue)
+		ss.kernels[g] = NewKernel()
 	}
 	return ss
 }
-
-// QueueName reports which event queue implementation the group kernels
-// run on.
-func (ss *ShardSet) QueueName() string { return ss.kernels[0].QueueName() }
 
 // Groups reports the number of node groups in the partition.
 func (ss *ShardSet) Groups() int { return len(ss.kernels) }

@@ -40,49 +40,6 @@ const traceCap = 1 << 18
 // the cheap way to soak it across random scenarios.
 var Shards int
 
-// QueueTwin, when non-empty, re-runs every checked scenario under the
-// named event-queue implementation (machine.Config.Queue, e.g.
-// sim.QueueLadder) and requires a bit-identical result fingerprint and
-// trace digest. Both queues realize the same (time, seq) total order,
-// so any divergence is a queue bug; folding the twin into the existing
-// healthy/chaos/crash/scale/qos sweeps soaks the ladder queue across
-// random scenarios the same way Shards soaks the sharded engine — and
-// composed with Shards, the twin runs sharded too.
-var QueueTwin string
-
-// checkQueueTwin re-executes the scenario under the QueueTwin queue and
-// compares it against base, mirroring checkDeterminism (same error, or
-// same fingerprint and trace digest) under the "queue" oracle.
-func checkQueueTwin(seed int64, cfg machine.Config, spec workload.Spec, base run) []Failure {
-	if QueueTwin == "" || cfg.Queue == QueueTwin {
-		return nil
-	}
-	cfg.Queue = QueueTwin
-	twin := execute(cfg, spec)
-	var fs []Failure
-	fail := func(format string, args ...any) {
-		fs = append(fs, Failure{Seed: seed, Oracle: "queue", Detail: fmt.Sprintf(format, args...)})
-	}
-	switch {
-	case (base.err == nil) != (twin.err == nil):
-		fail("base error %v, %s-queue twin error %v", base.err, QueueTwin, twin.err)
-	case base.err != nil:
-		if base.err.Error() != twin.err.Error() {
-			fail("error text differs under the %s queue:\n  base: %v\n  twin: %v",
-				QueueTwin, base.err, twin.err)
-		}
-	default:
-		if fa, fb := base.res.Fingerprint(), twin.res.Fingerprint(); fa != fb {
-			fail("result fingerprint differs under the %s queue: %016x vs %016x", QueueTwin, fa, fb)
-		}
-		if da, db := base.tl.Digest(), twin.tl.Digest(); da != db {
-			fail("trace digest differs under the %s queue: %016x vs %016x (%d vs %d events)",
-				QueueTwin, da, db, len(base.tl.Events()), len(twin.tl.Events()))
-		}
-	}
-	return fs
-}
-
 // execute builds a fresh machine for the scenario and drives it once.
 // The spec may be tweaked by the caller (reference runs, delay bumps).
 func execute(cfg machine.Config, spec workload.Spec) run {

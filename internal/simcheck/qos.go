@@ -30,7 +30,7 @@ import (
 const fairLagSlack = 2
 
 // GenerateQoS expands a seed into an open-loop multi-tenant overload
-// scenario: a modest machine, a weighted fair-queueing policy with
+// scenario: a modest machine, a weighted fair queueing policy with
 // per-tenant admission, and a heavy-tailed tenant population whose
 // offered load deliberately exceeds the machine's service rate. Pure
 // function of the seed, like Generate.
@@ -119,35 +119,6 @@ func CheckQoSScenario(sc Scenario) QoSReport {
 	base := executeQoS(sc.Cfg, *sc.QoS)
 	again := executeQoS(sc.Cfg, *sc.QoS)
 	rep.Failures = append(rep.Failures, checkDeterminism(seed, base, again)...)
-
-	// The queue twin mirrors checkQueueTwin for the QoS driver: the
-	// same overload scenario under the twin event queue must agree bit
-	// for bit with the base run.
-	if QueueTwin != "" && sc.Cfg.Queue != QueueTwin {
-		qcfg := sc.Cfg
-		qcfg.Queue = QueueTwin
-		qrun := executeQoS(qcfg, *sc.QoS)
-		fail := func(format string, args ...any) {
-			rep.Failures = append(rep.Failures,
-				Failure{Seed: seed, Oracle: "queue", Detail: fmt.Sprintf(format, args...)})
-		}
-		switch {
-		case (base.err == nil) != (qrun.err == nil):
-			fail("base error %v, %s-queue twin error %v", base.err, QueueTwin, qrun.err)
-		case base.err != nil:
-			if base.err.Error() != qrun.err.Error() {
-				fail("error text differs under the %s queue:\n  base: %v\n  twin: %v",
-					QueueTwin, base.err, qrun.err)
-			}
-		default:
-			if fa, fb := base.res.Fingerprint(), qrun.res.Fingerprint(); fa != fb {
-				fail("result fingerprint differs under the %s queue: %016x vs %016x", QueueTwin, fa, fb)
-			}
-			if da, db := base.tl.Digest(), qrun.tl.Digest(); da != db {
-				fail("trace digest differs under the %s queue: %016x vs %016x", QueueTwin, da, db)
-			}
-		}
-	}
 
 	if base.err != nil {
 		rep.RunErr = base.err

@@ -60,7 +60,6 @@ func checkScenario(sc Scenario) Report {
 	base := execute(sc.Cfg, sc.Spec)
 	again := execute(sc.Cfg, sc.Spec)
 	rep.Failures = append(rep.Failures, checkDeterminism(seed, base, again)...)
-	rep.Failures = append(rep.Failures, checkQueueTwin(seed, sc.Cfg, sc.Spec, base)...)
 
 	if base.err != nil {
 		rep.RunErr = base.err
@@ -209,7 +208,6 @@ func CheckCrashScenario(sc Scenario) Report {
 	base := execute(sc.Cfg, sc.Spec)
 	again := execute(sc.Cfg, sc.Spec)
 	rep.Failures = append(rep.Failures, checkDeterminism(seed, base, again)...)
-	rep.Failures = append(rep.Failures, checkQueueTwin(seed, sc.Cfg, sc.Spec, base)...)
 
 	if base.err != nil {
 		rep.RunErr = base.err
