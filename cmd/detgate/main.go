@@ -30,8 +30,8 @@
 // Allocation: with -allocs it shells out to `go test -bench` and asserts
 // that the zero-allocation hot paths — the DES kernel and mesh micros,
 // the ladder queue hold-model benches, the cross-shard post/drain path,
-// plus the pfs client steady-state read and ionode service paths —
-// still report 0 allocs/op.
+// the disk service loop, plus the pfs client steady-state read and
+// ionode service paths — still report 0 allocs/op.
 package main
 
 import (
@@ -143,6 +143,7 @@ var allocGatePackages = []struct {
 }{
 	{"./internal/sim/", "BenchmarkEventThroughput$|BenchmarkProcWake$|BenchmarkShardPostDrain$|BenchmarkQueuePushPop/ladder/depth=(1k|100k)$"},
 	{"./internal/mesh/", "BenchmarkSend$"},
+	{"./internal/disk/", "BenchmarkDiskSubmitCall$"},
 	{"./internal/pfs/", "BenchmarkClientSteadyRead$"},
 	{"./internal/ionode/", "BenchmarkServicePath$"},
 }
@@ -157,6 +158,7 @@ var zeroAllocBenches = map[string]bool{
 	"BenchmarkQueuePushPop/ladder/depth=1k":   true, // ladder queue hold model, shallow
 	"BenchmarkQueuePushPop/ladder/depth=100k": true, // ladder queue hold model, deep
 	"BenchmarkSend":                           true, // mesh message delivery
+	"BenchmarkDiskSubmitCall":                 true, // disk submit/serve/complete service loop
 	"BenchmarkClientSteadyRead":               true, // pfs client steady-state read path
 	"BenchmarkServicePath":                    true, // ionode request service path
 }

@@ -2,7 +2,7 @@
 // behind each Intel Paragon I/O node.
 //
 // A Disk owns a FIFO- or SCAN-scheduled request queue served by one
-// simulated process. Service time for a request is
+// event-driven service loop. Service time for a request is
 //
 //	controller overhead + seek(distance) + rotational latency + transfer
 //
@@ -195,13 +195,13 @@ type Disk struct {
 	permBad   map[int64]bool // sectors gone for good
 
 	queue   []*Request
-	server  *sim.Proc
-	idle    bool
-	dead    bool // drive failed for good: every request errors instantly
-	wake    *sim.Queue[struct{}]
-	cur     int64 // current cylinder
-	nextLBA int64 // sector following the last transfer, -1 initially
-	dir     int64 // SCAN sweep direction: +1 or -1
+	active  *Request // request in service, nil while the server is not transferring
+	parked  bool     // server idle, waiting for a Submit to wake it
+	idleGap bool     // the next request starts after an idle gap (see serveNext)
+	dead    bool     // drive failed for good: every request errors instantly
+	cur     int64    // current cylinder
+	nextLBA int64    // sector following the last transfer, -1 initially
+	dir     int64    // SCAN sweep direction: +1 or -1
 
 	// Measurements.
 	Requests        int64
@@ -214,7 +214,7 @@ type Disk struct {
 	QueueLen        stats.Histogram // queue length observed at arrival
 }
 
-// New creates a disk on kernel k and starts its service process.
+// New creates a disk on kernel k and starts its service loop.
 func New(k *sim.Kernel, name string, geo Geometry, sched Sched) *Disk {
 	if geo.SectorSize <= 0 || geo.SectorsPerTrack <= 0 || geo.Heads <= 0 ||
 		geo.Cylinders <= 1 || geo.RPM <= 0 {
@@ -225,11 +225,10 @@ func New(k *sim.Kernel, name string, geo Geometry, sched Sched) *Disk {
 		name:    name,
 		geo:     geo,
 		sched:   sched,
-		wake:    sim.NewQueue[struct{}](k),
 		nextLBA: -1,
 		dir:     1,
 	}
-	d.server = k.GoDaemon("disk/"+name, d.serve)
+	k.StartService(serveStart, d)
 	return d
 }
 
@@ -288,7 +287,12 @@ func (d *Disk) InjectFaultProfile(fp FaultProfile) {
 	fp.validate()
 	d.fault = fp
 	d.faultRng = rand.New(rand.NewSource(fp.Seed))
-	d.jitterRng = rand.New(rand.NewSource(fp.Seed ^ 0x6a69747465726a69)) // decouple jitter draws from fault draws
+	// Seeding a source costs hundreds of words of state, and faultJitter
+	// draws only when Jitter > 0.
+	d.jitterRng = nil
+	if fp.Jitter > 0 {
+		d.jitterRng = rand.New(rand.NewSource(fp.Seed ^ 0x6a69747465726a69)) // decouple jitter draws from fault draws
+	}
 	d.transient = make(map[int64]bool)
 	d.permBad = make(map[int64]bool)
 }
@@ -394,7 +398,10 @@ func (d *Disk) Submit(req *Request) {
 	req.cylinder = req.Sector / (d.geo.SectorsPerTrack * d.geo.Heads)
 	d.QueueLen.Observe(float64(len(d.queue)))
 	d.queue = append(d.queue, req)
-	d.wake.Put(struct{}{})
+	if d.parked {
+		d.parked = false
+		d.k.AfterCall(0, serveWake, d)
+	}
 }
 
 // Read is a convenience wrapper: submit a read of count sectors at sector
@@ -412,38 +419,58 @@ func (d *Disk) Write(sector, count int64) *sim.Signal {
 	return req.Done
 }
 
-// serve is the drive's service loop. A request that arrives while the
-// drive is idle pays rotational latency even when logically sequential:
-// by the time the command reaches the drive the target sector has passed
-// under the head (these drives had no read-ahead track buffer). Requests
-// served back-to-back from a non-empty queue keep streaming.
-func (d *Disk) serve(p *sim.Proc) {
-	idleGap := true // spin-up counts as a gap
-	for {
-		if len(d.queue) == 0 {
-			idleGap = true
-			for len(d.queue) == 0 {
-				d.wake.Get(p)
-			}
-		}
-		// Drain stale wake tokens so the emptiness check stays accurate.
-		for {
-			if _, ok := d.wake.TryGet(); !ok {
-				break
-			}
-		}
-		req := d.pick()
-		d.Busy.Begin(p.Now())
-		t := d.serviceTime(req, idleGap)
-		p.Sleep(t + d.faultJitter(t))
-		d.Busy.End(p.Now())
-		idleGap = false
-		d.Requests++
-		d.Sectors += req.Count
-		d.cur = (req.Sector + req.Count - 1) / (d.geo.SectorsPerTrack * d.geo.Heads)
-		d.nextLBA = req.Sector + req.Count
-		d.complete(req, d.injectFault(req))
+// The drive's service loop runs as kernel callbacks (see
+// sim.Kernel.StartService) and books exactly the events of a server
+// process that blocks on a wake-up queue while idle and sleeps through
+// each transfer: the start event, one zero-delay wake-up per Submit that
+// finds the server parked, and one event per transfer at its completion
+// instant. A request that arrives while the drive is idle pays
+// rotational latency even when logically sequential: by the time the
+// command reaches the drive the target sector has passed under the head
+// (these drives had no read-ahead track buffer). Requests served
+// back-to-back from a non-empty queue keep streaming.
+
+// serveStart is the service loop's start event; spin-up counts as a gap.
+func serveStart(a any) {
+	d := a.(*Disk)
+	d.idleGap = true
+	d.serveNext()
+}
+
+// serveWake is the wake-up a Submit books for a parked server. A Kill
+// between the Submit and the wake-up leaves the queue empty, and the
+// server parks again.
+func serveWake(a any) { a.(*Disk).serveNext() }
+
+// serveDone completes the request in service at its completion instant,
+// then moves on to the next request in the same dispatch.
+func serveDone(a any) {
+	d := a.(*Disk)
+	req := d.active
+	d.active = nil
+	d.Busy.End(d.k.Now())
+	d.idleGap = false
+	d.Requests++
+	d.Sectors += req.Count
+	d.cur = (req.Sector + req.Count - 1) / (d.geo.SectorsPerTrack * d.geo.Heads)
+	d.nextLBA = req.Sector + req.Count
+	d.complete(req, d.injectFault(req))
+	d.serveNext()
+}
+
+// serveNext starts the next request per the scheduling policy, or parks
+// the server until a Submit wakes it.
+func (d *Disk) serveNext() {
+	if len(d.queue) == 0 {
+		d.idleGap = true
+		d.parked = true
+		return
 	}
+	req := d.pick()
+	d.active = req
+	d.Busy.Begin(d.k.Now())
+	t := d.serviceTime(req, d.idleGap)
+	d.k.AfterCall(t+d.faultJitter(t), serveDone, d)
 }
 
 // pick removes and returns the next request per the scheduling policy.

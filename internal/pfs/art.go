@@ -20,8 +20,19 @@ type Async struct {
 // instance: requests queue FIFO on the active list and a dedicated
 // thread posts and processes them one at a time via Fast Path, exactly
 // the structure Section 3 of the paper describes.
+//
+// The thread is an event-driven service loop (sim.Kernel.StartService)
+// that books exactly the events of a thread process blocking on the
+// active list: the start event, one zero-delay wake-up per request that
+// finds the thread parked, the ARTSetup posting delay, and one wake-up
+// when the striped I/O completes unless it completed synchronously.
 type art struct {
-	active *sim.Queue[*Async]
+	f      *File
+	active []*Async // FIFO active list; head indexes the next request
+	head   int
+	cur    *Async      // request being posted or in flight
+	sig    *sim.Signal // pooled completion signal of cur's striped I/O
+	parked bool        // thread idle, waiting for enqueue to wake it
 	issued int64
 }
 
@@ -75,32 +86,75 @@ func (f *File) enqueue(req *Async) *Async {
 		return req
 	}
 	if f.art == nil {
-		f.art = &art{active: sim.NewQueue[*Async](f.fsys.k)}
-		f.fsys.k.GoDaemon(fmt.Sprintf("art/%s@%d", f.meta.name, f.node), f.artLoop)
+		f.art = &art{f: f}
+		f.fsys.k.StartService(artWake, f.art)
 	}
-	f.art.issued++
-	f.art.active.Put(req)
+	a := f.art
+	a.issued++
+	a.active = append(a.active, req)
+	if a.parked {
+		a.parked = false
+		f.fsys.k.AfterCall(0, artWake, a)
+	}
 	return req
 }
 
-// artLoop is the asynchronous request thread: it pulls requests off the
-// active list in FIFO order, pays the posting cost, performs the read via
-// Fast Path, and fires the completion.
-func (f *File) artLoop(p *sim.Proc) {
-	for {
-		req := f.art.active.Get(p)
-		p.Sleep(f.fsys.cfg.ARTSetup)
-		var err error
-		if req.Write {
-			sig := f.fsys.getSig()
-			f.fsys.stripeIOInto(sig, f.node, f.tenant, f.meta, req.Off, req.N, true)
-			err = sig.Wait(p)
-			f.fsys.putSig(sig)
-		} else {
-			err = f.BlockingIO(p, req.Off, req.N)
-		}
-		req.Done.Fire(err)
+// artWake is the thread's start event and the wake-up enqueue books for
+// a parked thread: take the next request off the active list and pay the
+// posting cost, or park until a request arrives.
+func artWake(v any) {
+	a := v.(*art)
+	if a.head == len(a.active) {
+		a.parked = true
+		return
 	}
+	a.cur = a.active[a.head]
+	a.active[a.head] = nil
+	a.head++
+	if a.head == len(a.active) {
+		a.active = a.active[:0]
+		a.head = 0
+	}
+	a.f.fsys.k.AfterCall(a.f.fsys.cfg.ARTSetup, artPosted, a)
+}
+
+// artPosted runs when the posting cost is paid: it performs the request
+// via Fast Path, continuing at once if the I/O settled synchronously.
+func artPosted(v any) {
+	a := v.(*art)
+	f, req := a.f, a.cur
+	if !req.Write {
+		if err := f.checkRead(req.Off, req.N); err != nil {
+			a.finish(err)
+			return
+		}
+	}
+	a.sig = f.fsys.getSig()
+	f.fsys.stripeIOInto(a.sig, f.node, f.tenant, f.meta, req.Off, req.N, req.Write)
+	if a.sig.Fired() {
+		artIODone(a, a.sig.Err())
+		return
+	}
+	a.sig.OnFireCall(artIODone, a)
+}
+
+// artIODone settles the striped I/O of the request in flight.
+func artIODone(v any, err error) {
+	a := v.(*art)
+	a.f.fsys.putSig(a.sig)
+	a.sig = nil
+	if err == nil && !a.cur.Write {
+		a.f.IOBytes += a.cur.N
+	}
+	a.finish(err)
+}
+
+// finish fires the request's completion and moves on to the next one.
+func (a *art) finish(err error) {
+	req := a.cur
+	a.cur = nil
+	req.Done.Fire(err)
+	artWake(a)
 }
 
 // AsyncIssued reports how many asynchronous requests this open instance

@@ -376,8 +376,8 @@ func (f *File) performRead(p *sim.Proc, off, n int64) error {
 // touched and no prefetcher is consulted: this is the primitive the modes,
 // the ART, and the prefetcher all bottom out in.
 func (f *File) BlockingIO(p *sim.Proc, off, n int64) error {
-	if off < 0 || n <= 0 || off+n > f.meta.size {
-		return fmt.Errorf("pfs: read [%d,+%d) outside %s (%d bytes)", off, n, f.meta.name, f.meta.size)
+	if err := f.checkRead(off, n); err != nil {
+		return err
 	}
 	sig := f.fsys.getSig()
 	f.fsys.stripeIOInto(sig, f.node, f.tenant, f.meta, off, n, false)
@@ -387,6 +387,14 @@ func (f *File) BlockingIO(p *sim.Proc, off, n int64) error {
 		return err
 	}
 	f.IOBytes += n
+	return nil
+}
+
+// checkRead rejects a raw read of [off, off+n) outside the file.
+func (f *File) checkRead(off, n int64) error {
+	if off < 0 || n <= 0 || off+n > f.meta.size {
+		return fmt.Errorf("pfs: read [%d,+%d) outside %s (%d bytes)", off, n, f.meta.name, f.meta.size)
+	}
 	return nil
 }
 

@@ -47,8 +47,8 @@ type Kernel struct {
 	procs      []*Proc      // procs started and not yet finished (swap-remove)
 	idle       []*coroutine // coroutines whose proc finished, for reuse
 	released   bool         // Release has run: no proc starts or wakes again
-	live       int          // procs created and not yet finished
-	daemons    int          // live procs marked as daemons (service loops)
+	live       int          // procs created and not yet finished, plus services
+	daemons    int          // live daemons: GoDaemon procs and StartService loops
 	executed   uint64       // events run so far
 	failed     error        // first process panic, if any
 	free       []*event     // recycled event structs (see event)
@@ -95,6 +95,20 @@ func (k *Kernel) Live() int { return k.live }
 // loops that legitimately outlive the workload). A quiescent simulation
 // has Live() == Daemons().
 func (k *Kernel) Daemons() int { return k.daemons }
+
+// StartService starts an event-driven service loop: a daemon written as
+// callbacks rather than as a process body. fn(arg) runs as a zero-delay
+// start event booked exactly where GoDaemon books a process's start, and
+// the loop counts in the live/daemon census as a daemon that never
+// finishes, so replacing a GoDaemon whose blocking points book the same
+// events leaves the schedule and Fingerprint unchanged. A service holds
+// no coroutine, so Release has nothing to stop and leaves the census as
+// it was.
+func (k *Kernel) StartService(fn func(any), arg any) {
+	k.live++
+	k.daemons++
+	k.AfterCall(0, fn, arg)
+}
 
 // Executed reports the number of events the kernel has run. Together with
 // the clock and the sequence counter it summarizes the whole schedule: two

@@ -94,10 +94,11 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	return k.start(name, false, fn)
 }
 
-// GoDaemon is Go for service loops that never return (device servers,
-// request threads). A simulation whose only remaining blocked processes
-// are daemons has simply gone quiet, not deadlocked, so Run does not
-// report it as an error. Release reclaims them once the run is over.
+// GoDaemon is Go for service loops that never return. A simulation whose
+// only remaining blocked processes are daemons has simply gone quiet, not
+// deadlocked, so Run does not report it as an error. Release reclaims
+// them once the run is over. Hot service loops (disk servers, request
+// threads) use StartService instead, which needs no coroutine.
 func (k *Kernel) GoDaemon(name string, fn func(p *Proc)) *Proc {
 	return k.start(name, true, fn)
 }

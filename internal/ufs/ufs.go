@@ -89,14 +89,15 @@ type FS struct {
 	cfg   Config
 	rng   *rand.Rand // lazily seeded: fragmentation-free volumes never draw
 
-	files    map[string]*vnode
-	nextBlk  int64   // allocation cursor, in disk blocks
-	totalBlk int64   // capacity in blocks
-	freeBlks []int64 // blocks returned by Remove, reused first
-	cache    *lru
-	fills    map[blockKey]*sim.Signal // cache blocks with a disk fill in flight
-	cpuFree  sim.Time                 // I/O-node CPU clock for copy/staging costs
-	opFree   []*readOp                // readOp free list
+	files     map[string]*vnode
+	nextBlk   int64   // allocation cursor, in disk blocks
+	totalBlk  int64   // capacity in blocks
+	freeBlks  []int64 // blocks returned by Remove, reused first
+	cache     *lru
+	fills     map[blockKey]*sim.Signal // cache blocks with a disk fill in flight
+	cpuFree   sim.Time                 // I/O-node CPU clock for copy/staging costs
+	opFree    []*readOp                // readOp free list
+	writeFree []*writeOp               // writeOp free list
 
 	// Measurements.
 	Reads       int64
@@ -557,33 +558,66 @@ func (fs *FS) Write(name string, off, n int64) (*sim.Signal, error) {
 	bs := fs.cfg.BlockSize
 	first := off / bs
 	last := (off + n - 1) / bs
-	var blocks []int64
+	op := fs.getWriteOp()
 	for b := first; b <= last; b++ {
-		blocks = append(blocks, v.blocks[b])
+		op.blocks = append(op.blocks, v.blocks[b])
 		// Write-through invalidation: a stale cached copy must not serve
 		// later reads.
 		if fs.cache != nil {
 			fs.cache.remove(blockKey{name, b})
 		}
 	}
-	runs := coalesce(blocks)
-	fs.DiskOps += int64(len(runs))
+	op.runs = coalesceInto(op.runs[:0], op.blocks)
+	fs.DiskOps += int64(len(op.runs))
 	done := sim.NewSignal(fs.k)
-	remaining := len(runs)
-	var firstErr error
-	for _, r := range runs {
-		sig := fs.array.Write(r.start*bs, r.count*bs)
-		sig.OnFire(func(err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			remaining--
-			if remaining == 0 {
-				done.Fire(firstErr)
-			}
-		})
+	op.done = done
+	op.remaining = len(op.runs)
+	for _, r := range op.runs {
+		fs.array.WriteCall(r.start*bs, r.count*bs, writeOpRunDone, op)
 	}
 	return done, nil
+}
+
+// writeOp is the pooled countdown of one Write over its coalesced disk
+// runs: the last run to finish fires the caller's signal. Array.WriteCall
+// keeps each run event-for-event identical to a signal-form Array.Write
+// with one callback.
+type writeOp struct {
+	fs        *FS
+	remaining int
+	firstErr  error
+	done      *sim.Signal
+
+	// Scratch storage reused across ops.
+	blocks []int64
+	runs   []run
+}
+
+func (fs *FS) getWriteOp() *writeOp {
+	if n := len(fs.writeFree); n > 0 {
+		op := fs.writeFree[n-1]
+		fs.writeFree[n-1] = nil
+		fs.writeFree = fs.writeFree[:n-1]
+		return op
+	}
+	return &writeOp{fs: fs}
+}
+
+// writeOpRunDone retires one coalesced run of a Write.
+func writeOpRunDone(v any, err error) {
+	op := v.(*writeOp)
+	if err != nil && op.firstErr == nil {
+		op.firstErr = err
+	}
+	op.remaining--
+	if op.remaining > 0 {
+		return
+	}
+	done, firstErr := op.done, op.firstErr
+	op.firstErr, op.done = nil, nil
+	op.blocks, op.runs = op.blocks[:0], op.runs[:0]
+	op.fs.writeFree = append(op.fs.writeFree, op)
+	done.Fire(firstErr)
 }
 
 // run is a contiguous extent of disk blocks.
@@ -592,16 +626,11 @@ type run struct {
 	count int64
 }
 
-// coalesce merges an ordered list of disk block numbers into contiguous
-// runs. Input order is preserved (file order), so only adjacent
-// contiguity merges — matching what a real block-coalescing read path can
-// do while streaming.
-func coalesce(blocks []int64) []run {
-	return coalesceInto(nil, blocks)
-}
-
-// coalesceInto is coalesce appending into caller-provided storage, so the
-// hot read path reuses one runs slice per operation.
+// coalesceInto merges an ordered list of disk block numbers into
+// contiguous runs, appending to runs so the read and write paths reuse
+// one slice per pooled operation. Input order is preserved (file order),
+// so only adjacent contiguity merges — matching what a real
+// block-coalescing read path can do while streaming.
 func coalesceInto(runs []run, blocks []int64) []run {
 	for _, b := range blocks {
 		if len(runs) > 0 && runs[len(runs)-1].start+runs[len(runs)-1].count == b {

@@ -250,8 +250,8 @@ func TestCoalesce(t *testing.T) {
 		{[]int64{1, 2, 2, 3}, 2}, // duplicate restarts a run, then merges forward
 	}
 	for _, c := range cases {
-		if got := coalesce(c.in); len(got) != c.want {
-			t.Errorf("coalesce(%v) = %d runs, want %d", c.in, len(got), c.want)
+		if got := coalesceInto(nil, c.in); len(got) != c.want {
+			t.Errorf("coalesceInto(nil, %v) = %d runs, want %d", c.in, len(got), c.want)
 		}
 	}
 }
@@ -271,7 +271,7 @@ func TestCoalesceCoversInput(t *testing.T) {
 			cur++
 		}
 		var flat []int64
-		for _, r := range coalesce(blocks) {
+		for _, r := range coalesceInto(nil, blocks) {
 			for i := int64(0); i < r.count; i++ {
 				flat = append(flat, r.start+i)
 			}

@@ -267,6 +267,9 @@ func RunQoS(cfg machine.Config, spec QoSSpec) (*Result, error) {
 		st := &qr.Tenants[t]
 		count := qosCount(spec, t)
 		base := int64(qosRand(spec.Seed, t, 0, qosSaltBase) % uint64(units))
+		// One name for all of a tenant's readers: the arrival trace event
+		// already says which request each one serves.
+		rdName := fmt.Sprintf("qos-rd%d", t)
 		m.K.Go(fmt.Sprintf("qos-arr%d", t), func(p *sim.Proc) {
 			for k := 0; k < count; k++ {
 				if g := qosGap(spec, t, k); g > 0 {
@@ -278,7 +281,7 @@ func RunQoS(cfg machine.Config, spec QoSSpec) (*Result, error) {
 				if arrTl != nil {
 					arrTl.Add(trace.Event{T: p.Now(), Kind: trace.QoSArrival, Node: t, N: spec.RequestSize})
 				}
-				m.K.Go(fmt.Sprintf("qos-rd%d.%d", t, k), func(rp *sim.Proc) {
+				m.K.Go(rdName, func(rp *sim.Proc) {
 					start := rp.Now()
 					n, err := files[t].ReadAt(rp, off, spec.RequestSize)
 					lat := rp.Now() - start
